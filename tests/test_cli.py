@@ -65,9 +65,44 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "N=6" in out and "micro_cnn" in out
 
-    def test_cuts(self, capsys):
-        assert main(["cuts", "--scale", "fast"]) == 0
-        assert "best" in capsys.readouterr().out
+    #: exact ``best_cut`` sweep at seed 0 — ``(best, [(cut, seconds), ...])``
+    CUT_SWEEPS = {
+        "fast": (3, [
+            (1, 0.15762296248202287), (2, 0.1656048936201239),
+            (3, 0.07377261596838891), (4, 0.16020614461334015),
+            (5, 0.15755568831052202), (6, 0.11600394695129054),
+            (7, 0.11523740709562585),
+        ]),
+        "paper": (4, [
+            (1, 2.2749946941956116), (2, 2.24453571763589),
+            (3, 2.3440982147053027), (4, 0.8436410709403055),
+            (5, 2.1833956990573298), (6, 2.1889194381827513),
+            (7, 2.144121168817277), (8, 1.5085782614172492),
+            (9, 1.955242762789517), (10, 1.9207720651501408),
+            (11, 1.9530195913033217),
+        ]),
+    }
+
+    @pytest.mark.parametrize("scale", sorted(CUT_SWEEPS))
+    def test_cuts(self, scale, capsys, monkeypatch):
+        """The cut sweep is pinned bitwise, and the CLI marks its choice."""
+        import repro.core.cut_layer as cut_layer
+
+        results = []
+        real_best_cut = cut_layer.best_cut
+
+        def recording_best_cut(*args, **kwargs):
+            results.append(real_best_cut(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(cut_layer, "best_cut", recording_best_cut)
+        assert main(["cuts", "--scale", scale]) == 0
+        assert results == [self.CUT_SWEEPS[scale]]
+        best = self.CUT_SWEEPS[scale][0]
+        marked = [
+            line for line in capsys.readouterr().out.splitlines() if "<- best" in line
+        ]
+        assert [int(line.split()[0]) for line in marked] == [best]
 
     def test_run_gsfl(self, capsys):
         code = main(
