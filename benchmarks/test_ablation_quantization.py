@@ -25,7 +25,8 @@ def test_ablation_quantization(benchmark):
         for bits in (None, 8, 4):
             scenario = fast_scenario(with_wireless=True)
             scenario.wireless = replace(scenario.wireless, deterministic_rates=True)
-            scenario.scheme = replace(scenario.scheme, quantize_bits=bits)
+            transport = "float32" if bits is None else f"intk:{bits}"
+            scenario.scheme = replace(scenario.scheme, transport=transport)
             built = scenario.build()
             scheme = make_scheme("GSFL", built)
             history = scheme.run(rounds)

@@ -18,6 +18,7 @@ from benchmarks.conftest import run_once
 from repro.core.resource import GroupWorkload, equal_bandwidth_split, minmax_bandwidth_split
 from repro.experiments import fast_scenario, make_scheme
 from repro.schemes.pricing import LatencyModel
+from repro.sim.runtime import demand_lower_bound_s, demand_nominal_s
 
 
 def _group_workloads(built, scenario, groups):
@@ -29,23 +30,31 @@ def _group_workloads(built, scenario, groups):
 
     def latency_fn_for(members):
         def fn(bandwidth_hz: float) -> float:
-            total = pricing.downlink_model_s(members[0], model_bytes, bandwidth_hz)
+            total = demand_nominal_s(
+                pricing.downlink_model_demand(members[0], model_bytes, bandwidth_hz)
+            )
             for pos, client in enumerate(members):
                 per_batch = (
-                    pricing.client_forward_s(client, cut)
-                    + pricing.uplink_smashed_s(client, cut, bandwidth_hz)
-                    + pricing.server_split_step_s(cut)
-                    + pricing.downlink_gradient_s(client, cut, bandwidth_hz)
-                    + pricing.client_backward_s(client, cut)
+                    demand_lower_bound_s(pricing.client_forward_demand(client, cut))
+                    + demand_nominal_s(
+                        pricing.uplink_smashed_demand(client, cut, bandwidth_hz)
+                    )
+                    + demand_lower_bound_s(pricing.server_split_step_demand(cut))
+                    + demand_nominal_s(
+                        pricing.downlink_gradient_demand(client, cut, bandwidth_hz)
+                    )
+                    + demand_lower_bound_s(pricing.client_backward_demand(client, cut))
                 )
                 total += steps * per_batch
+                total += demand_nominal_s(
+                    pricing.uplink_model_demand(client, model_bytes, bandwidth_hz)
+                )
                 if pos < len(members) - 1:
-                    total += pricing.uplink_model_s(client, model_bytes, bandwidth_hz)
-                    total += pricing.downlink_model_s(
-                        members[pos + 1], model_bytes, bandwidth_hz
+                    total += demand_nominal_s(
+                        pricing.downlink_model_demand(
+                            members[pos + 1], model_bytes, bandwidth_hz
+                        )
                     )
-                else:
-                    total += pricing.uplink_model_s(client, model_bytes, bandwidth_hz)
             return total
 
         return fn

@@ -29,7 +29,6 @@ runs are directly comparable.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from repro.core.grouping import GROUPING_STRATEGIES
@@ -39,8 +38,8 @@ from repro.experiments.catalog import describe_scenario, get_scenario, list_scen
 from repro.experiments.dynamics import FAILURE_MODELS, DynamicsConfig
 from repro.experiments.figures import run_fig2a, run_fig2b
 from repro.experiments.runner import SCHEME_REGISTRY, make_scheme
-from repro.devtools.trace_schema import validate_row
 from repro.experiments.scenario import ExperimentScenario, fast_scenario, paper_scenario
+from repro.experiments.trace_export import export_trace
 from repro.nn.dtype import set_default_dtype
 from repro.schemes.base import MEDIUM_POLICIES
 from repro.sim.server import parse_aggregation
@@ -147,10 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="re-partition every N rounds (with --regroup; default 1)",
     )
     prun.add_argument("--cut-layer", type=int, default=None)
-    prun.add_argument(
-        "--quantize-bits", type=int, default=None,
-        help="shorthand for --transport intk:K (K-bit uniform-affine codes)",
-    )
     prun.add_argument(
         "--transport", default=None, metavar="CODEC",
         help="wire codec for model/smashed/gradient payloads: 'float32' "
@@ -269,131 +264,6 @@ def _dynamics_config(args: argparse.Namespace) -> DynamicsConfig | None:
     )
 
 
-def _export_trace(path: str, scheme: "object", scenario_name: "str | None" = None) -> None:
-    """Write the run's per-activity trace + energy summary as JSONL.
-
-    The export doubles as a trace-*in* format: the ``meta`` row carries
-    the full dynamics config (and scenario name/seed), and per-client
-    ``availability`` rows record the realized churn toggle streams, so
-    ``--scenario replay:<path>`` can re-drive the same fleet history.
-    """
-    from dataclasses import asdict
-
-    from repro.wireless.energy import EnergyModel, EnergyReport
-
-    recorder = scheme.recorder
-    dynamics = scheme.dynamics
-    total_span = scheme.runtime.now
-    energy = EnergyModel()
-    with open(path, "w") as fh:
-        def emit(row: "dict[str, object]") -> None:
-            # Every exported row must match the canonical schema registry
-            # (repro.devtools.trace_schema) — the runtime half of TRC001.
-            validate_row(row)
-            fh.write(json.dumps(row) + "\n")
-
-        emit(
-            {
-                "type": "meta",
-                "scheme": scheme.name,
-                "scenario": scenario_name,
-                "seed": scheme.config.seed,
-                "rounds": len(scheme.round_timings),
-                "medium": scheme.config.medium,
-                "transport": scheme.config.transport,
-                "aggregation": scheme.config.aggregation,
-                "failure_model": getattr(scheme, "failure_model", "none"),
-                "grouping": getattr(scheme, "grouping", None),
-                "regroup": scheme.config.regroup,
-                "regroup_every": scheme.config.regroup_every,
-                "num_clients": scheme.num_clients,
-                "num_groups": getattr(scheme, "num_groups", None),
-                "dynamics": asdict(dynamics.config) if dynamics is not None else None,
-                "total_latency_s": total_span,
-                "events": len(recorder),
-                "aborts": len(recorder.aborts),
-                "retries": len(recorder.retries),
-                "regroups": len(recorder.regroups),
-            }
-        )
-        if dynamics is not None and dynamics.config.has_churn:
-            for c in range(dynamics.num_clients):
-                emit(
-                    {
-                        "type": "availability",
-                        "client": c,
-                        "toggles": dynamics.availability_toggles(c, total_span),
-                    }
-                )
-        if dynamics is not None:
-            for rc in dynamics.round_log:
-                emit(
-                    {
-                        "type": "round_conditions",
-                        "round": rc.round_index,
-                        "time_s": rc.now_s,
-                        "available": list(rc.available),
-                        "participants": list(rc.participants),
-                        "slowdowns": {str(k): v for k, v in rc.slowdowns.items()},
-                    }
-                )
-        for row in recorder.to_rows():
-            emit(row)
-        for row in recorder.abort_rows():
-            emit(row)
-        for row in recorder.retry_rows():
-            emit(row)
-        for row in recorder.regroup_rows():
-            emit(row)
-        for t in scheme.round_timings:
-            emit(
-                {
-                    "type": "round_timing",
-                    "round": t.round_index,
-                    "des_s": t.des_s,
-                    "analytic_s": t.analytic_s,
-                    "lower_bound_s": t.lower_bound_s,
-                }
-            )
-        for u in scheme.aggregation_updates:
-            emit(
-                {
-                    "type": "aggregation_update",
-                    "unit": u.unit,
-                    "unit_round": u.round_index,
-                    "time_s": u.time_s,
-                    "staleness": u.staleness,
-                    "alpha": u.alpha,
-                    "weight": u.weight,
-                }
-            )
-        reports = energy.per_client_energy(recorder, total_span)
-        fleet = sum(reports.values(), EnergyReport.zero())
-        for actor, report in sorted(reports.items()):
-            emit(
-                {
-                    "type": "energy",
-                    "actor": actor,
-                    "tx_j": report.tx_j,
-                    "rx_j": report.rx_j,
-                    "compute_j": report.compute_j,
-                    "idle_j": report.idle_j,
-                    "total_j": report.total_j,
-                }
-            )
-        emit(
-            {
-                "type": "energy_summary",
-                "tx_j": fleet.tx_j,
-                "rx_j": fleet.rx_j,
-                "compute_j": fleet.compute_j,
-                "idle_j": fleet.idle_j,
-                "total_j": fleet.total_j,
-            }
-        )
-    print(f"wrote trace: {path}")
-
-
 def _executor(args: argparse.Namespace) -> Executor:
     return make_executor(args.executor, args.workers)
 
@@ -452,8 +322,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if args.grouping is not None:
             scenario.grouping = args.grouping
         if (
-            args.quantize_bits is not None
-            or args.transport is not None
+            args.transport is not None
             or args.aggregation != "sync"
             or args.regroup is not None
             or args.regroup_every != 1
@@ -461,8 +330,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             from dataclasses import replace
 
             overrides = {}
-            if args.quantize_bits is not None:
-                overrides["quantize_bits"] = args.quantize_bits
             if args.transport is not None:
                 overrides["transport"] = args.transport
             if args.aggregation != "sync":
@@ -494,7 +361,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print()
     print(history.summary())
     if args.trace_out:
-        _export_trace(args.trace_out, scheme, scenario_name=args.scenario or args.scale)
+        export_trace(args.trace_out, scheme, scenario_name=args.scenario or args.scale)
+        print(f"wrote trace: {args.trace_out}")
     return 0
 
 
@@ -562,6 +430,11 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
+    try:
+        _executor(args)  # reject bad --executor/--workers pairs before any work
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     # Dtype must be pinned before any model/scenario construction; restore
     # afterwards so in-process callers (tests) see no global side effect.
     previous = set_default_dtype(args.dtype)

@@ -21,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.nn.profile import ModelProfile
+from repro.schemes.pricing import LatencyModel
+from repro.sim.runtime import demand_lower_bound_s
 from repro.wireless.system import WirelessSystem
 
 __all__ = ["CutAnalysis", "analyze_cuts", "estimate_round_latency", "best_cut"]
@@ -67,36 +69,29 @@ def estimate_round_latency(
     batch_size: int,
     local_steps: int,
     bandwidth_hz: float,
-    use_mean_rates: bool = True,
 ) -> float:
     """Expected split-training time for one client's local round.
 
     Sums, over ``local_steps`` batches: client forward, smashed uplink,
-    server forward+backward, gradient downlink, client backward.  Uses
-    mean rates (no fading draw) when ``use_mean_rates`` so cut selection is
-    deterministic.
+    server forward+backward, gradient downlink, client backward.  The
+    compute terms are the lower bounds of the scheme's own
+    :class:`~repro.schemes.pricing.LatencyModel` demands.  The airtime
+    terms use a Monte-Carlo mean uplink rate over 64 fading draws taken
+    from the channel's shared stream (the downlink is a coarse 1.5x of
+    it), so every call — and every candidate of a :func:`best_cut`
+    sweep — advances the system's fading stream.
     """
-    fwd_c = profile.client_forward_flops(cut_layer) * batch_size
-    bwd_c = profile.client_backward_flops(cut_layer) * batch_size
-    fwd_s = profile.server_forward_flops(cut_layer) * batch_size
-    bwd_s = profile.server_backward_flops(cut_layer) * batch_size
+    pricing = LatencyModel(system, profile, batch_size)
     smashed_bits = 8 * profile.smashed_bytes(cut_layer, batch_size)
-
-    if use_mean_rates:
-        up_rate = system.channel.mean_uplink_rate_bps(client, bandwidth_hz, num_draws=64)
-        down_rate = up_rate * 1.5  # AP transmits at higher power; coarse mean
-        uplink = smashed_bits / up_rate
-        downlink = smashed_bits / down_rate
-    else:
-        uplink = system.uplink_seconds(client, smashed_bits, bandwidth_hz)
-        downlink = system.downlink_seconds(client, smashed_bits, bandwidth_hz)
+    up_rate = system.channel.mean_uplink_rate_bps(client, bandwidth_hz, num_draws=64)
+    down_rate = up_rate * 1.5  # AP transmits at higher power; coarse mean
 
     per_batch = (
-        system.client_compute_seconds(client, fwd_c)
-        + uplink
-        + system.server_compute_seconds(fwd_s + bwd_s)
-        + downlink
-        + system.client_compute_seconds(client, bwd_c)
+        demand_lower_bound_s(pricing.client_forward_demand(client, cut_layer))
+        + smashed_bits / up_rate
+        + demand_lower_bound_s(pricing.server_split_step_demand(cut_layer))
+        + smashed_bits / down_rate
+        + demand_lower_bound_s(pricing.client_backward_demand(client, cut_layer))
     )
     return local_steps * per_batch
 

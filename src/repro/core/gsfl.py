@@ -121,7 +121,6 @@ class GroupSplitFederatedLearning(AsyncSplitStateMixin, Scheme):
             self.system,
             self.profile,
             self.config.batch_size,
-            quantize_bits=self.config.quantize_bits,
             transport=self.config.transport,
         )
 

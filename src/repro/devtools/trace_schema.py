@@ -5,8 +5,8 @@ and its exact field set.  Three previously independent copies now all
 import from here:
 
 * the recorder (:mod:`repro.sim.trace`) validates the rows it renders,
-* the CLI exporter (``repro.cli._export_trace``) validates every row it
-  writes,
+* the exporter (:func:`repro.experiments.trace_export.export_trace`,
+  behind ``--trace-out``) validates every row it writes,
 * the replay parsers (:mod:`repro.experiments.catalog` meta reader,
   :class:`repro.experiments.availability.TraceReplay`) validate the
   rows they consume,

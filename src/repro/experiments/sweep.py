@@ -40,7 +40,7 @@ class SweepAxis:
       (e.g. ``num_groups``, ``cut_layer``, ``partition``);
     * ``"scheme_config"`` — field of the nested
       :class:`~repro.schemes.base.SchemeConfig` (e.g. ``lr``,
-      ``quantize_bits``, ``local_steps``);
+      ``transport``, ``local_steps``);
     * ``"scheme_kwargs"`` — extra constructor kwargs of the scheme class
       (e.g. GSFL's ``failure_rate`` or ``grouping``).
     """

@@ -52,7 +52,7 @@ from repro.sim.server import (
     parse_aggregation,
 )
 from repro.sim.trace import TraceRecorder
-from repro.sim.transport import IntKCodec, TransportCodec, parse_transport
+from repro.sim.transport import TransportCodec, parse_transport
 from repro.utils.rng import spawn_rngs
 from repro.utils.validation import check_in_choices, check_positive
 
@@ -196,8 +196,6 @@ class SchemeConfig:
     sparsification.  Training genuinely sees the codec's error, the
     latency model prices the smaller payloads, and encode/decode FLOPs
     are charged to the owning device — see :mod:`repro.sim.transport`.
-    ``quantize_bits`` is retained as sugar for ``transport="intk:K"``
-    (setting both to conflicting values is an error).
 
     ``medium`` selects how the runtime's shared wireless medium divides
     bandwidth: ``"static"`` gives every transmission exactly its nominal
@@ -231,7 +229,6 @@ class SchemeConfig:
     weight_decay: float = 0.0
     eval_every: int = 1
     eval_batch_size: int = 256
-    quantize_bits: int | None = None
     transport: str = "float32"
     medium: str = "static"
     aggregation: str = "sync"
@@ -252,25 +249,7 @@ class SchemeConfig:
         check_in_choices("regroup", self.regroup, REGROUP_POLICIES)
         check_positive("regroup_every", self.regroup_every)
         parse_aggregation(self.aggregation)  # raises on malformed specs
-        if self.quantize_bits is not None and not 1 <= self.quantize_bits <= 16:
-            raise ValueError(
-                f"quantize_bits must be in [1, 16] or None, got {self.quantize_bits}"
-            )
-        codec = parse_transport(self.transport)  # raises on malformed specs
-        if self.quantize_bits is not None:
-            if not codec.lossy:
-                codec = IntKCodec(self.quantize_bits)  # sugar for intk:K
-            elif not (
-                isinstance(codec, IntKCodec)
-                and codec.num_bits == self.quantize_bits
-            ):
-                raise ValueError(
-                    f"transport {self.transport!r} conflicts with "
-                    f"quantize_bits={self.quantize_bits}"
-                )
-        elif isinstance(codec, IntKCodec):
-            self.quantize_bits = codec.num_bits
-        self.transport = codec.name
+        self.transport = parse_transport(self.transport).name  # raises on malformed specs
 
     @property
     def codec(self) -> TransportCodec:

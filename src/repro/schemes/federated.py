@@ -41,7 +41,6 @@ class FederatedLearning(Scheme):
             self.system,
             self.profile,
             self.config.batch_size,
-            quantize_bits=self.config.quantize_bits,
             transport=self.config.transport,
         )
         self._global_state = self.model.state_dict()

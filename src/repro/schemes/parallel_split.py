@@ -107,7 +107,6 @@ class ParallelSplitLearning(Scheme):
             self.system,
             self.profile,
             self.config.batch_size,
-            quantize_bits=self.config.quantize_bits,
             transport=self.config.transport,
         )
         self._server_opt = self._make_sgd(self.split.server.parameters())

@@ -1,4 +1,4 @@
-"""Demand calculation (and analytic pricing) for scheme activities.
+"""Demand calculation for scheme activities.
 
 :class:`LatencyModel` converts protocol actions (client forward pass,
 smashed-data upload, model relay, ...) into **demands** — FLOPs against a
@@ -11,13 +11,12 @@ not on what the scheme assumed when it emitted the activity.
 Fading realizations are drawn per transmission through the channel's own
 generator *at demand-construction time*, in protocol order — exactly
 where the old pre-priced pipeline drew them — so latency traces stay
-reproducible for a fixed scenario seed and the static-share resolution
-is bit-identical to the legacy analytic pricing.
-
-The ``*_s`` methods retain that legacy analytic model (each also drawing
-fading on call); they back the cut-layer sweep and other closed-form
-analyses.  Constructed with ``system=None`` everything is priced at
-zero — "pure algorithm" mode for accuracy-only runs and fast tests.
+reproducible for a fixed scenario seed.  Closed-form analyses price a
+demand directly with :func:`~repro.sim.runtime.demand_lower_bound_s`
+(compute) or :func:`~repro.sim.runtime.demand_nominal_s` (transmission
+at a static bandwidth share).  Constructed with ``system=None``
+everything is priced at zero — "pure algorithm" mode for accuracy-only
+runs and fast tests.
 """
 
 from __future__ import annotations
@@ -31,9 +30,8 @@ from repro.sim.runtime import (
     Demand,
     TransmitDemand,
     TransmitLeg,
-    demand_lower_bound_s,
 )
-from repro.sim.transport import Float32Codec, IntKCodec, TransportCodec, parse_transport
+from repro.sim.transport import TransportCodec, parse_transport
 from repro.wireless.channel import WirelessChannel
 from repro.wireless.system import WirelessSystem
 
@@ -51,33 +49,16 @@ class LatencyModel:
         system: WirelessSystem | None,
         profile: ModelProfile | None,
         batch_size: int,
-        quantize_bits: int | None = None,
         transport: str | TransportCodec | None = None,
     ) -> None:
         if (system is None) != (profile is None):
             raise ValueError(
                 "system and profile must be given together (or both omitted)"
             )
-        codec = parse_transport(transport) if transport is not None else None
-        if quantize_bits is not None:
-            if not 1 <= quantize_bits <= 16:
-                raise ValueError(
-                    f"quantize_bits must be in [1, 16], got {quantize_bits}"
-                )
-            if codec is None:
-                codec = IntKCodec(quantize_bits)
-            elif not (isinstance(codec, IntKCodec) and codec.num_bits == quantize_bits):
-                raise ValueError(
-                    f"transport {codec.name!r} conflicts with "
-                    f"quantize_bits={quantize_bits}"
-                )
         self.system = system
         self.profile = profile
         self.batch_size = batch_size
-        self.codec: TransportCodec = codec if codec is not None else Float32Codec()
-        self.quantize_bits = (
-            self.codec.num_bits if isinstance(self.codec, IntKCodec) else None
-        )
+        self.codec: TransportCodec = parse_transport(transport)
         # Payload sizes are pure functions of the cut layer but were
         # recomputed from full profile traversals inside every activity of
         # every batch of every round — memoize them per cut.
@@ -368,73 +349,3 @@ class LatencyModel:
         if not self.enabled:
             return 1.0
         return self.system.allocator.total_bandwidth_hz
-
-    # ------------------------------------------------------------------
-    # legacy analytic pricing (closed-form analyses, cut sweep)
-    #
-    # Compute pricing derives from the demand constructors (one FLOP
-    # formula, two views); transmission pricing must stay separate
-    # because both paths draw fading from the shared stream.
-    # ------------------------------------------------------------------
-    def client_forward_s(self, client: int, cut_layer: int) -> float:
-        return demand_lower_bound_s(self.client_forward_demand(client, cut_layer))
-
-    def client_backward_s(self, client: int, cut_layer: int) -> float:
-        return demand_lower_bound_s(self.client_backward_demand(client, cut_layer))
-
-    def client_full_step_s(self, client: int) -> float:
-        """Full-model forward+backward on the client (FL local step)."""
-        return demand_lower_bound_s(self.client_full_step_demand(client))
-
-    def server_split_step_s(self, cut_layer: int) -> float:
-        """Server-side forward+backward for one smashed batch."""
-        return demand_lower_bound_s(self.server_split_step_demand(cut_layer))
-
-    def server_full_step_s(self) -> float:
-        """Full-model forward+backward on the server (CL step)."""
-        return demand_lower_bound_s(self.server_full_step_demand())
-
-    def aggregation_s(self, num_participants: int, num_params: int) -> float:
-        return demand_lower_bound_s(
-            self.aggregation_demand(num_participants, num_params)
-        )
-
-    def uplink_smashed_s(self, client: int, cut_layer: int, bandwidth_hz: float) -> float:
-        if not self.enabled:
-            return 0.0
-        nbits = 8 * self.smashed_nbytes(cut_layer)
-        return self.system.uplink_seconds(client, nbits, bandwidth_hz)
-
-    def downlink_gradient_s(self, client: int, cut_layer: int, bandwidth_hz: float) -> float:
-        if not self.enabled:
-            return 0.0
-        nbits = 8 * self.smashed_nbytes(cut_layer)
-        return self.system.downlink_seconds(client, nbits, bandwidth_hz)
-
-    def uplink_model_s(self, client: int, nbytes: int, bandwidth_hz: float) -> float:
-        if not self.enabled or nbytes == 0:
-            return 0.0
-        return self.system.uplink_seconds(client, 8 * nbytes, bandwidth_hz)
-
-    def downlink_model_s(self, client: int, nbytes: int, bandwidth_hz: float) -> float:
-        if not self.enabled or nbytes == 0:
-            return 0.0
-        return self.system.downlink_seconds(client, 8 * nbytes, bandwidth_hz)
-
-    def broadcast_model_s(self, clients: list[int], nbytes: int, bandwidth_hz: float) -> float:
-        """One AP broadcast decoded by every listed client.
-
-        The transmission must close at the *weakest* listener's rate.
-        """
-        if not self.enabled or nbytes == 0:
-            return 0.0
-        return max(
-            self.system.downlink_seconds(c, 8 * nbytes, bandwidth_hz) for c in clients
-        )
-
-    def uplink_data_s(self, client: int, num_samples: int, bandwidth_hz: float) -> float:
-        if not self.enabled:
-            return 0.0
-        return self.system.uplink_seconds(
-            client, 8 * self.dataset_nbytes(num_samples), bandwidth_hz
-        )

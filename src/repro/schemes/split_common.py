@@ -35,7 +35,7 @@ from repro.nn.split import SmashedBatch, SplitModel
 from repro.nn.tensor import Tensor
 from repro.schemes.base import Activity
 from repro.schemes.pricing import LatencyModel
-from repro.sim.transport import IntKCodec, TransportCodec, parse_transport
+from repro.sim.transport import TransportCodec, parse_transport
 
 __all__ = [
     "split_step_math",
@@ -59,7 +59,6 @@ class SplitHyperParams:
     lr: float
     momentum: float = 0.0
     weight_decay: float = 0.0
-    quantize_bits: int | None = None
     transport: str = "float32"
 
     @classmethod
@@ -69,17 +68,13 @@ class SplitHyperParams:
             lr=config.lr,
             momentum=config.momentum,
             weight_decay=config.weight_decay,
-            quantize_bits=config.quantize_bits,
-            transport=getattr(config, "transport", "float32"),
+            transport=config.transport,
         )
 
     @property
     def codec(self) -> TransportCodec:
-        """The resolved wire codec (``quantize_bits`` is intk sugar)."""
-        codec = parse_transport(self.transport)
-        if not codec.lossy and self.quantize_bits is not None:
-            return IntKCodec(self.quantize_bits)
-        return codec
+        """The resolved wire codec (:mod:`repro.sim.transport`)."""
+        return parse_transport(self.transport)
 
 
 @dataclass

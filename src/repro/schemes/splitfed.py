@@ -53,7 +53,6 @@ class SplitFedLearning(AsyncSplitStateMixin, Scheme):
             self.system,
             self.profile,
             self.config.batch_size,
-            quantize_bits=self.config.quantize_bits,
             transport=self.config.transport,
         )
         self._global_client_state = self.split.client.state_dict()

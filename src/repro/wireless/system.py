@@ -1,10 +1,10 @@
 """Facade tying topology, channel, devices and bandwidth policy together.
 
-:class:`WirelessSystem` is what the training schemes talk to: it prices
-every transmission (seconds for ``nbits`` given the client's bandwidth
-share and current channel realization) and every computation (seconds for
-``flops`` on a given device).  The schemes themselves stay pure protocol
-logic over the discrete-event kernel.
+:class:`WirelessSystem` is what the training schemes talk to: it owns the
+channel (rates and fading), the device fleet (FLOP rates) and the
+bandwidth policy that :class:`~repro.schemes.pricing.LatencyModel` turns
+into demands.  The schemes themselves stay pure protocol logic over the
+discrete-event kernel.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ class WirelessConfig:
 
 
 class WirelessSystem:
-    """Runtime wireless scenario: prices transmissions and computations."""
+    """Runtime wireless scenario: channel, device fleet and bandwidth policy."""
 
     def __init__(self, config: WirelessConfig | None = None) -> None:
         self.config = config or WirelessConfig()
@@ -106,40 +106,6 @@ class WirelessSystem:
     def shares(self, active_clients: list[int]) -> dict[int, float]:
         """Policy-driven shares for an explicit concurrent set."""
         return self.allocator.shares(active_clients, self.channel)
-
-    # ------------------------------------------------------------------
-    # transmission pricing
-    # ------------------------------------------------------------------
-    def uplink_seconds(self, client: int, nbits: float, bandwidth_hz: float) -> float:
-        """Seconds to move ``nbits`` client→AP over ``bandwidth_hz``."""
-        check_positive("nbits", nbits)
-        rate = self.channel.uplink_rate_bps(client, bandwidth_hz)
-        return nbits / rate
-
-    def downlink_seconds(self, client: int, nbits: float, bandwidth_hz: float) -> float:
-        """Seconds to move ``nbits`` AP→client over ``bandwidth_hz``."""
-        check_positive("nbits", nbits)
-        rate = self.channel.downlink_rate_bps(client, bandwidth_hz)
-        return nbits / rate
-
-    def relay_seconds(
-        self, from_client: int, to_client: int, nbits: float, bandwidth_hz: float
-    ) -> float:
-        """Client→AP→client model relay (paper §II-B-3 routes via the AP)."""
-        return self.uplink_seconds(from_client, nbits, bandwidth_hz) + self.downlink_seconds(
-            to_client, nbits, bandwidth_hz
-        )
-
-    # ------------------------------------------------------------------
-    # computation pricing
-    # ------------------------------------------------------------------
-    def client_compute_seconds(self, client: int, flops: float) -> float:
-        """Seconds for ``flops`` on the given client device."""
-        return self.fleet.client(client).compute_time(flops)
-
-    def server_compute_seconds(self, flops: float) -> float:
-        """Seconds for ``flops`` on the edge server."""
-        return self.fleet.server.compute_time(flops)
 
     # ------------------------------------------------------------------
     # diagnostics

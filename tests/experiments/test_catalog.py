@@ -6,7 +6,6 @@ import json
 
 import pytest
 
-from repro.cli import _export_trace
 from repro.experiments.catalog import (
     SCENARIO_REGISTRY,
     describe_scenario,
@@ -16,6 +15,7 @@ from repro.experiments.catalog import (
 )
 from repro.experiments.runner import make_scheme
 from repro.experiments.scenario import fast_scenario, paper_scenario
+from repro.experiments.trace_export import export_trace
 
 
 class TestRegistryAPI:
@@ -97,7 +97,7 @@ class TestRecordReplay:
         scenario = get_scenario("churn")
         scheme = make_scheme("GSFL", scenario.build())
         scheme.run(rounds)
-        _export_trace(path, scheme, scenario_name="churn")
+        export_trace(path, scheme, scenario_name="churn")
         return path, scheme
 
     def test_round_trip_reproduces_round_conditions(self, tmp_path):

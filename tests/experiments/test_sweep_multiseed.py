@@ -36,7 +36,7 @@ class TestSweep:
         rows = sweep.run(
             "GSFL",
             num_rounds=1,
-            axis=SweepAxis("quantize_bits", [None, 8], target="scheme_config"),
+            axis=SweepAxis("transport", ["float32", "int8"], target="scheme_config"),
         )
         assert rows[1].total_latency_s < rows[0].total_latency_s
 

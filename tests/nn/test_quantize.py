@@ -131,7 +131,7 @@ class TestSchemeIntegration:
 
         built = fast_scenario(with_wireless=True).build()
         full = LatencyModel(built.system, built.profile, 16)
-        quant = LatencyModel(built.system, built.profile, 16, quantize_bits=8)
+        quant = LatencyModel(built.system, built.profile, 16, transport="intk:8")
         cut = built.scenario.resolved_cut_layer()
         assert quant.smashed_nbytes(cut) < full.smashed_nbytes(cut) / 3
 
@@ -142,7 +142,7 @@ class TestSchemeIntegration:
         from repro.experiments.scenario import fast_scenario
 
         scenario = fast_scenario(with_wireless=True)
-        scenario.scheme = replace(scenario.scheme, quantize_bits=8)
+        scenario.scheme = replace(scenario.scheme, transport="intk:8")
         built = scenario.build()
         history = make_scheme("GSFL", built).run(3)
         assert history.final_accuracy > 0.2  # chance is 0.1
@@ -159,6 +159,6 @@ class TestSchemeIntegration:
 
         quant = fast_scenario(with_wireless=True)
         quant.wireless = replace(quant.wireless, deterministic_rates=True)
-        quant.scheme = replace(quant.scheme, quantize_bits=8)
+        quant.scheme = replace(quant.scheme, transport="intk:8")
         t_quant = make_scheme("GSFL", quant.build()).run(1).total_latency_s
         assert t_quant < t_full

@@ -66,9 +66,13 @@ class TestActivityStructure:
         assert losses[-1] < losses[0]
 
 
+def _intk(bits):
+    return "float32" if bits is None else f"intk:{bits}"
+
+
 class TestWireQuantization:
     def test_quantization_changes_training(self, small_cnn, small_dataset):
-        """With quantize_bits set, the server trains on lossy activations,
+        """With an intk transport, the server trains on lossy activations,
         so the parameter trajectory must diverge from float32."""
 
         def run(bits):
@@ -83,7 +87,7 @@ class TestWireQuantization:
             loader = DataLoader(small_dataset, batch_size=8, seed=0)
             c_opt = nn.SGD(split.client.parameters(), lr=0.05)
             s_opt = nn.SGD(split.server.parameters(), lr=0.05)
-            pricing = LatencyModel(None, None, 8, quantize_bits=bits)
+            pricing = LatencyModel(None, None, 8, transport=_intk(bits))
             split_local_round(
                 0, split, c_opt, s_opt, loader, nn.CrossEntropyLoss(), 2,
                 pricing, 1e6,
@@ -106,7 +110,7 @@ class TestWireQuantization:
             loader = DataLoader(small_dataset, batch_size=8, seed=0)
             c_opt = nn.SGD(split.client.parameters(), lr=0.05)
             s_opt = nn.SGD(split.server.parameters(), lr=0.05)
-            pricing = LatencyModel(None, None, 8, quantize_bits=bits)
+            pricing = LatencyModel(None, None, 8, transport=_intk(bits))
             loss, _ = split_local_round(
                 0, split, c_opt, s_opt, loader, nn.CrossEntropyLoss(), 2,
                 pricing, 1e6,

@@ -89,22 +89,10 @@ class TestLossyCodecsChangeTheWire:
 
 
 class TestConfigSugar:
-    def test_quantize_bits_is_intk_sugar(self):
-        config = SchemeConfig(quantize_bits=8)
+    def test_transport_spelling_is_normalised(self):
+        config = SchemeConfig(transport="intk:8")
         assert config.transport == "int8"
         assert config.codec.lossy
-
-    def test_intk_transport_backfills_quantize_bits(self):
-        config = SchemeConfig(transport="intk:6")
-        assert config.quantize_bits == 6
-
-    def test_matching_transport_and_bits_accepted(self):
-        config = SchemeConfig(transport="int8", quantize_bits=8)
-        assert config.transport == "int8"
-
-    def test_conflicting_transport_and_bits_rejected(self):
-        with pytest.raises(ValueError, match="conflicts with quantize_bits"):
-            SchemeConfig(transport="topk:0.1", quantize_bits=8)
 
     def test_unknown_transport_rejected(self):
         with pytest.raises(ValueError, match="unknown transport"):

@@ -22,11 +22,11 @@ class TestParser:
 
     def test_run_options(self):
         args = build_parser().parse_args(
-            ["run", "--scheme", "GSFL", "--groups", "3", "--quantize-bits", "8"]
+            ["run", "--scheme", "GSFL", "--groups", "3", "--transport", "intk:8"]
         )
         assert args.scheme == "GSFL"
         assert args.groups == 3
-        assert args.quantize_bits == 8
+        assert args.transport == "intk:8"
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(SystemExit):
@@ -244,15 +244,23 @@ class TestCommands:
         assert code == 2
         assert "unknown transport" in capsys.readouterr().err
 
-    def test_transport_conflicting_quantize_bits_is_a_clean_config_error(
-        self, capsys
+    @pytest.mark.parametrize("command", ["run", "fig2a", "fig2b"])
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--executor", "serial", "--workers", "2"], "exactly one worker"),
+            (["--executor", "thread", "--workers", "0"], "workers must be >= 1"),
+        ],
+    )
+    def test_invalid_executor_flags_are_a_clean_config_error(
+        self, command, flags, message, capsys
     ):
-        code = main(
-            ["run", "--scale", "fast", "--scheme", "GSFL", "--rounds", "1",
-             "--transport", "topk:0.1", "--quantize-bits", "8"]
-        )
+        code = main([command, "--scale", "fast", "--rounds", "1", *flags])
         assert code == 2
-        assert "conflicts with quantize_bits" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [captured.err.strip()]
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert captured.out == ""
 
     def test_run_with_int8_transport(self, capsys):
         code = main(

@@ -5,6 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import nn
+from repro.schemes.pricing import LatencyModel
+from repro.sim.runtime import demand_lower_bound_s, demand_nominal_s
 from repro.wireless.bandwidth import (
     EqualAllocation,
     InverseRateAllocation,
@@ -162,23 +165,28 @@ class TestBandwidthAllocation:
 
 
 class TestWirelessSystem:
-    def test_build_and_price(self):
+    def test_build_and_price(self, small_cnn):
         sys = WirelessSystem(WirelessConfig(num_clients=5, seed=0))
-        t = sys.uplink_seconds(0, nbits=1e6, bandwidth_hz=1e6)
+        t = 1e6 / sys.channel.uplink_rate_bps(0, bandwidth_hz=1e6)
         assert t > 0 and np.isfinite(t)
-        assert sys.client_compute_seconds(0, 1e9) > sys.server_compute_seconds(1e9)
+        # the same full-model step, on a client and on the edge server
+        pricing = LatencyModel(sys, nn.profile_model(small_cnn, (2, 8, 8)), batch_size=1)
+        client = demand_lower_bound_s(pricing.client_full_step_demand(0))
+        assert client > demand_lower_bound_s(pricing.server_full_step_demand())
 
     def test_deterministic_rates_mode(self):
         sys = WirelessSystem(WirelessConfig(num_clients=3, deterministic_rates=True, seed=0))
-        a = sys.uplink_seconds(0, 1e6, 1e6)
-        b = sys.uplink_seconds(0, 1e6, 1e6)
+        a = 1e6 / sys.channel.uplink_rate_bps(0, 1e6)
+        b = 1e6 / sys.channel.uplink_rate_bps(0, 1e6)
         assert a == pytest.approx(b)
 
-    def test_relay_is_up_plus_down(self):
+    def test_relay_is_up_plus_down(self, small_cnn):
         sys = WirelessSystem(WirelessConfig(num_clients=3, deterministic_rates=True, seed=0))
-        up = sys.uplink_seconds(0, 1e6, 1e6)
-        down = sys.downlink_seconds(1, 1e6, 1e6)
-        relay = sys.relay_seconds(0, 1, 1e6, 1e6)
+        pricing = LatencyModel(sys, nn.profile_model(small_cnn, (2, 8, 8)), batch_size=1)
+        nbytes = 125_000  # 1e6 bits
+        up = demand_nominal_s(pricing.uplink_model_demand(0, nbytes, 1e6))
+        down = demand_nominal_s(pricing.downlink_model_demand(1, nbytes, 1e6))
+        relay = demand_nominal_s(pricing.relay_model_demand(0, 1, nbytes, 1e6))
         assert relay == pytest.approx(up + down)
 
     def test_share_for(self):
