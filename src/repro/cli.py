@@ -313,6 +313,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
             )
         if (
             args.regroup not in (None, "static")
+            and not SCHEME_REGISTRY[args.scheme].supports_regroup
+        ):
+            raise ValueError(
+                f"scheme {args.scheme!r} does not support "
+                f"--regroup {args.regroup} (only 'static')"
+            )
+        if (
+            args.regroup not in (None, "static")
             and not parse_aggregation(args.aggregation).synchronous
         ):
             raise ValueError(

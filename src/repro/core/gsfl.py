@@ -37,17 +37,16 @@ from __future__ import annotations
 import numpy as np
 
 from repro import nn
-from repro.core.aggregation import fedavg
+from repro.core.aggregation import fedavg, mix_states
 from repro.core.grouping import make_groups, validate_groups
 from repro.core.regroup import RegroupContext, make_regroup_policy
 from repro.nn.split import split_model
 from repro.schemes.base import Activity, Scheme, Stage
 from repro.schemes.pricing import LatencyModel
 from repro.schemes.split_common import (
-    AsyncSplitStateMixin,
     GroupTask,
     SplitHyperParams,
-    price_local_round,
+    price_relay_chain,
     run_group_tasks,
     train_split_group,
 )
@@ -56,14 +55,16 @@ from repro.sim.server import RetryAt, UnitRoundWork
 __all__ = ["GroupSplitFederatedLearning"]
 
 
-class GroupSplitFederatedLearning(AsyncSplitStateMixin, Scheme):
+class GroupSplitFederatedLearning(Scheme):
     """GSFL: parallel per-group sequential split learning + FedAvg.
 
     Parameters beyond the :class:`~repro.schemes.base.Scheme` basics:
 
     num_groups:
         ``M``; ``M=1`` degenerates to SL-with-aggregation, ``M=N`` to
-        SplitFed-style fully parallel training.
+        SplitFed's fully parallel training
+        (:class:`~repro.schemes.splitfed.SplitFedLearning` runs on this
+        class with singleton groups).
     cut_layer:
         Split point (client-side layer count).
     grouping / groups:
@@ -87,6 +88,9 @@ class GroupSplitFederatedLearning(AsyncSplitStateMixin, Scheme):
 
     name = "GSFL"
     supports_async = True
+    supports_regroup = True
+    #: what one relay chain is called in track names and async merge rows
+    _unit_label = "group"
     #: mid-activity failure recovery: once the retry budget is spent, the
     #: relay chain re-routes around the dead client — the AP re-issues
     #: its cached client-model copy to the next relay — and the group's
@@ -263,8 +267,6 @@ class GroupSplitFederatedLearning(AsyncSplitStateMixin, Scheme):
     # ------------------------------------------------------------------
     def _run_round(self, round_index: int) -> list[Stage]:
         self._maybe_regroup(round_index)
-        pricing = self._pricing
-        client_model_bytes = pricing.client_model_nbytes(self.cut_layer)
         participants = set(self._round_participants())
 
         # ------------------------------------------------------------------
@@ -279,9 +281,6 @@ class GroupSplitFederatedLearning(AsyncSplitStateMixin, Scheme):
         tasks: list[GroupTask] = []
 
         for g, all_members in enumerate(self.groups):
-            track = f"group-{g}"
-            bandwidth = self.bandwidth_shares[g]
-
             # Population dynamics first (churn windows / participation),
             # then per-round failure injection: unavailable clients drop
             # out of this round's relay; the model hops past them.
@@ -290,23 +289,11 @@ class GroupSplitFederatedLearning(AsyncSplitStateMixin, Scheme):
             if not members:
                 continue  # whole group lost this round
 
-            activities, batches = self._group_pipeline(
-                members, bandwidth, client_model_bytes
+            activities, task = self._chain_task(
+                g, members, self._round_bandwidth(g, len(participants))
             )
-            training.extend(track, activities)
-
-            tasks.append(
-                GroupTask(
-                    index=g,
-                    members=list(members),
-                    batches=batches,
-                    client_state=self._global_client_state,
-                    server_state=self._global_server_state,
-                    weight=float(
-                        sum(len(self.client_datasets[c]) for c in members)
-                    ),
-                )
-            )
+            training.extend(f"{self._unit_label}-{g}", activities)
+            tasks.append(task)
 
         # ------------------------------------------------------------------
         # Phase 2: run the M group pipelines on the configured executor
@@ -342,7 +329,7 @@ class GroupSplitFederatedLearning(AsyncSplitStateMixin, Scheme):
             aggregation.add(
                 "edge-server",
                 Activity(
-                    pricing.aggregation_demand(
+                    self._pricing.aggregation_demand(
                         len(results), self.model.num_parameters()
                     ),
                     "aggregation",
@@ -365,136 +352,39 @@ class GroupSplitFederatedLearning(AsyncSplitStateMixin, Scheme):
         self.skipped_clients_total += len(present) - len(members)
         return members
 
-    def _group_pipeline(
-        self, members: list[int], bandwidth: float, client_model_bytes: int
-    ) -> tuple[list[Activity], list[list[tuple]]]:
-        """One group's relay as (activities, pre-sampled batches).
+    def _chain_task(
+        self, group: int, members: list[int], bandwidth: float
+    ) -> tuple[list[Activity], GroupTask]:
+        """Price one group's relay chain and package its training task."""
+        activities, batches = price_relay_chain(
+            self._pricing,
+            self.client_loaders,
+            members,
+            self.cut_layer,
+            self.config.local_steps,
+            bandwidth,
+            self._pricing.client_model_nbytes(self.cut_layer),
+        )
+        task = GroupTask(
+            index=group,
+            members=list(members),
+            batches=batches,
+            client_state=self._global_client_state,
+            server_state=self._global_server_state,
+            weight=self._sample_weight(members),
+        )
+        return activities, task
 
-        Draw order is the protocol order (downlink → per-member batches
-        and split-step fading → relay/upload), shared verbatim by the
-        barriered stage construction and the async unit pipelines so the
-        fading and loader streams replay identically.
+    def _sample_weight(self, members: list[int]) -> float:
+        """FedAvg weight of a chain: its members' summed sample counts."""
+        return float(sum(len(self.client_datasets[c]) for c in members))
+
+    def _round_bandwidth(self, group: int, num_participants: int) -> float:
+        """Nominal band of one group's chain in a sync round.
+
+        GSFL keeps fixed per-group shares whoever participates.
         """
-        pricing = self._pricing
-        # A lossy transport shrinks every model hop to the codec's wire
-        # size and brackets it with encode/decode compute on the owning
-        # devices; the identity codec changes nothing (bitwise-pinned).
-        lossy = pricing.codec.lossy
-        wire_bytes = pricing.model_wire_nbytes(client_model_bytes)
-        scalars = pricing.model_scalars(client_model_bytes) if lossy else 0
-        activities: list[Activity] = []
-        batches: list[list[tuple]] = []
-        for position, client in enumerate(members):
-            if position == 0:
-                # Step 1 (distribution): AP → first client of the group.
-                if lossy:
-                    activities.append(
-                        Activity(
-                            pricing.server_encode_demand(scalars),
-                            "encode",
-                            "edge-server",
-                            detail=f"model for client-{client}",
-                        )
-                    )
-                activities.append(
-                    Activity(
-                        pricing.downlink_model_demand(
-                            client, wire_bytes, bandwidth
-                        ),
-                        "model_distribution",
-                        f"client-{client}",
-                        nbytes=wire_bytes,
-                    )
-                )
-                if lossy:
-                    activities.append(
-                        Activity(
-                            pricing.client_decode_demand(client, scalars),
-                            "decode",
-                            f"client-{client}",
-                            detail="model",
-                        )
-                    )
-            batches.append(
-                [
-                    self.client_loaders[client].sample_batch()
-                    for _ in range(self.config.local_steps)
-                ]
-            )
-            activities.extend(
-                price_local_round(
-                    client,
-                    self.cut_layer,
-                    self.config.local_steps,
-                    pricing,
-                    bandwidth,
-                )
-            )
-            if position < len(members) - 1:
-                # Step 2.3 (sharing): relay to the next client via AP.
-                nxt = members[position + 1]
-                if lossy:
-                    activities.append(
-                        Activity(
-                            pricing.client_encode_demand(client, scalars),
-                            "encode",
-                            f"client-{client}",
-                            detail="relay model",
-                        )
-                    )
-                activities.append(
-                    Activity(
-                        pricing.relay_model_demand(
-                            client,
-                            nxt,
-                            wire_bytes,
-                            bandwidth,
-                        ),
-                        "model_relay",
-                        f"client-{client}",
-                        nbytes=2 * wire_bytes,
-                    )
-                )
-                if lossy:
-                    activities.append(
-                        Activity(
-                            pricing.client_decode_demand(nxt, scalars),
-                            "decode",
-                            f"client-{nxt}",
-                            detail="relay model",
-                        )
-                    )
-            else:
-                # Last client returns the client-side half to the AP.
-                if lossy:
-                    activities.append(
-                        Activity(
-                            pricing.client_encode_demand(client, scalars),
-                            "encode",
-                            f"client-{client}",
-                            detail="model upload",
-                        )
-                    )
-                activities.append(
-                    Activity(
-                        pricing.uplink_model_demand(
-                            client, wire_bytes, bandwidth
-                        ),
-                        "model_upload",
-                        f"client-{client}",
-                        nbytes=wire_bytes,
-                    )
-                )
-                if lossy:
-                    activities.append(
-                        Activity(
-                            pricing.server_decode_demand(scalars),
-                            "decode",
-                            "edge-server",
-                            detail=f"model from client-{client}",
-                        )
-                    )
-        return activities, batches
+        return self.bandwidth_shares[group]
 
     # ------------------------------------------------------------------
     # asynchronous aggregation (barrier-free policies)
@@ -503,7 +393,7 @@ class GroupSplitFederatedLearning(AsyncSplitStateMixin, Scheme):
         return list(range(self.num_groups))
 
     def _async_unit_weight(self, unit: int) -> float:
-        return float(sum(len(self.client_datasets[c]) for c in self.groups[unit]))
+        return self._sample_weight(self.groups[unit])
 
     def _async_unit_round(
         self, unit: int, unit_round: int
@@ -518,32 +408,22 @@ class GroupSplitFederatedLearning(AsyncSplitStateMixin, Scheme):
             # (the lag gate must not deadlock) but commits nothing.
             return UnitRoundWork(activities=[], payload=None, weight=0.0)
 
-        activities, batches = self._group_pipeline(
-            members,
-            self.bandwidth_shares[unit],
-            self._pricing.client_model_nbytes(self.cut_layer),
+        activities, task = self._chain_task(
+            unit, members, self.bandwidth_shares[unit]
         )
         # Train against the *current* mixed global snapshot.  Async unit
         # rounds are serialized by the DES event loop, so the group
         # trains directly on the scheme's split model with explicit state
         # reload (the serial-executor path) on every backend.
-        task = GroupTask(
-            index=unit,
-            members=list(members),
-            batches=batches,
-            client_state=self._global_client_state,
-            server_state=self._global_server_state,
-            weight=float(sum(len(self.client_datasets[c]) for c in members)),
-            split=self.split,
-            private_replica=False,
-        )
+        task.split = self.split
+        task.private_replica = False
         result = train_split_group(task, SplitHyperParams.from_config(self.config))
         activities.append(
             Activity(
                 self._pricing.aggregation_demand(2, self.model.num_parameters()),
                 "aggregation",
                 "edge-server",
-                detail=f"async merge group-{unit}",
+                detail=f"async merge {self._unit_label}-{unit}",
             )
         )
         return UnitRoundWork(
@@ -554,6 +434,28 @@ class GroupSplitFederatedLearning(AsyncSplitStateMixin, Scheme):
             loss_sum=result.loss_sum,
             num_contributors=result.num_members,
         )
+
+    def _async_apply_update(self, payload: object, alpha: float) -> None:
+        # Under the mid-activity failure model a unit-round whose track
+        # surrendered never gets here: the aggregation server drops its
+        # payload and records an AbortRecord, so the mixed global only
+        # ever holds updates whose uploads completed.
+        client_state, server_state = payload
+        self._global_client_state = mix_states(
+            self._global_client_state, client_state, alpha
+        )
+        self._global_server_state = mix_states(
+            self._global_server_state, server_state, alpha
+        )
+        # mix_states allocates fresh arrays and the globals are only read
+        # afterwards, so the halves can adopt them without re-copying.
+        self._async_load_eval_model()
+
+    def _async_load_eval_model(self) -> None:
+        # Unit training mutates the shared split model in place; reload
+        # the mixed global before every evaluation snapshot.
+        self.split.client.load_state_dict(self._global_client_state, copy=False)
+        self.split.server.load_state_dict(self._global_server_state, copy=False)
 
     # ------------------------------------------------------------------
     # introspection

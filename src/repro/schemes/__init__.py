@@ -3,10 +3,14 @@
 * :class:`CentralizedLearning` (CL) — pooled-data edge training;
 * :class:`FederatedLearning` (FL) — FedAvg over full local models;
 * :class:`SplitLearning` (SL) — sequential relay split learning;
-* :class:`SplitFedLearning` — per-client-replica hybrid (the §I strawman).
+* :class:`SplitFedLearning` — per-client-replica hybrid (the §I strawman),
+  run as GSFL with singleton groups;
+* :class:`ParallelSplitLearning` (PSL) — parallel clients against one
+  shared server-side model.
 
 GSFL itself lives in :mod:`repro.core.gsfl` (it is the paper's
-contribution, not a baseline); import it from ``repro.core``.
+contribution, not a baseline); import it from ``repro.core``.  The
+relay-chain engine SL and GSFL share is :mod:`repro.schemes.split_common`.
 """
 
 from repro.schemes.base import (
@@ -22,7 +26,6 @@ from repro.schemes.federated import FederatedLearning
 from repro.schemes.parallel_split import ParallelSplitLearning
 from repro.schemes.pricing import LatencyModel
 from repro.schemes.split import SplitLearning
-from repro.schemes.split_common import split_local_round
 from repro.schemes.splitfed import SplitFedLearning
 
 __all__ = [
@@ -33,7 +36,6 @@ __all__ = [
     "Scheme",
     "SchemeConfig",
     "LatencyModel",
-    "split_local_round",
     "CentralizedLearning",
     "FederatedLearning",
     "SplitLearning",

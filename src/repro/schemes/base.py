@@ -219,7 +219,7 @@ class SchemeConfig:
     up-time from the churn trace, ``"abort_history"`` by an EWMA of the
     fault telemetry — see :mod:`repro.core.regroup`.  ``regroup_every``
     is the round period of the re-partition (evaluated from round 1 on).
-    Schemes without group structure ignore both knobs.
+    Schemes without regroupable groups reject a non-static ``regroup``.
     """
 
     batch_size: int = 16
@@ -270,6 +270,9 @@ class Scheme:
     #: whether the scheme implements the barrier-free unit-pipeline
     #: contract (set by subclasses that override the ``_async_*`` hooks)
     supports_async = False
+    #: whether the scheme re-partitions its groups between rounds under a
+    #: non-static ``config.regroup`` (GSFL); the others reject one
+    supports_regroup = False
     #: how the scheme recovers from a mid-activity preemption once the
     #: retry budget is spent: ``"retry"`` surrenders the round (FL /
     #: SplitFed — the unit *is* the dead client), ``"reroute"`` skips the
@@ -298,6 +301,11 @@ class Scheme:
         self.system = system
         self.profile = profile
         self.config = config or SchemeConfig()
+        if self.config.regroup != "static" and not self.supports_regroup:
+            raise ValueError(
+                f"scheme {self.name!r} does not support "
+                f"regroup={self.config.regroup!r}; only 'static'"
+            )
         self.recorder = recorder if recorder is not None else TraceRecorder()
         # Round-execution backend for schemes with independent per-group /
         # per-client pipelines (GSFL, SplitFed, PSL); inherently sequential

@@ -1,4 +1,4 @@
-"""Shared split-training engine used by SL, SplitFed and GSFL.
+"""Shared split-training engine: the relay chain behind SL and GSFL.
 
 Two layers:
 
@@ -14,9 +14,12 @@ Two layers:
   protocol order; durations are resolved later by the DES from the
   instantaneous state of the shared medium.
 
-:func:`split_local_round` composes both for the serial schemes (SL), and
-:func:`train_split_group` is the executor work-function behind GSFL's and
-SplitFed's parallel round engines: it receives a :class:`GroupTask` with
+:func:`price_relay_chain` prices one whole relay chain (AP downlink →
+per-member local rounds linked by AP relays → upload) and pre-samples
+its batches; SL prices its single chain with it, GSFL (and SplitFed, its
+singleton-group special case) one chain per group.
+:func:`train_split_group` is the executor work-function behind GSFL's
+parallel round engine: it receives a :class:`GroupTask` with the
 pre-sampled batches, trains a private :class:`~repro.nn.split.SplitModel`
 replica, and returns the trained halves.
 """
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -42,13 +46,12 @@ __all__ = [
     "price_local_round",
     "price_model_downlink",
     "price_model_uplink",
-    "split_local_round",
+    "price_relay_chain",
     "GroupTask",
     "GroupResult",
     "SplitHyperParams",
     "train_split_group",
     "run_group_tasks",
-    "AsyncSplitStateMixin",
 ]
 
 
@@ -335,33 +338,72 @@ def price_model_uplink(
     return activities
 
 
-def split_local_round(
-    client_id: int,
-    split: SplitModel,
-    client_opt: nn.Optimizer,
-    server_opt: nn.Optimizer,
-    loader: DataLoader,
-    loss_fn: object,
-    local_steps: int,
+def price_relay_chain(
     pricing: LatencyModel,
+    loaders: Sequence[DataLoader],
+    members: list[int],
+    cut: int,
+    local_steps: int,
     bandwidth_hz: float,
-) -> tuple[float, list[Activity]]:
-    """One client's split-training round (math + pricing, in-line).
+    nbytes: int,
+) -> tuple[list[Activity], list[list[tuple[np.ndarray, np.ndarray]]]]:
+    """One relay chain's round as (activities, pre-sampled batches).
 
-    Returns ``(mean_batch_loss, activities)`` where activities alternate
-    client compute / uplink / server compute / downlink per batch.
+    The AP sends the ``nbytes`` client half to ``members[0]``; each member
+    runs ``local_steps`` split steps and hands the half to the next
+    member through the AP; the last member uploads it.  ``batches[m][s]``
+    is member ``m``'s batch for step ``s`` (see :class:`GroupTask`).
+    Draw order is the protocol order (downlink → per-member batches and
+    split-step fading → relay/upload), so the fading and loader streams
+    replay identically whoever trains the batches afterwards.
     """
-    total_loss = 0.0
-    for _ in range(local_steps):
-        xb, yb = loader.sample_batch()
-        total_loss += split_step_math(
-            split, client_opt, server_opt, xb, yb, loss_fn,
-            pricing.codec,
+    # A lossy transport shrinks every model hop to the codec's wire size
+    # and brackets it with encode/decode compute on the owning devices;
+    # the identity codec changes nothing (bitwise-pinned).
+    lossy = pricing.codec.lossy
+    wire_bytes = pricing.model_wire_nbytes(nbytes)
+    scalars = pricing.model_scalars(nbytes) if lossy else 0
+    # Step 1 (distribution): AP → first client of the chain.
+    activities = price_model_downlink(pricing, members[0], nbytes, bandwidth_hz)
+    batches: list[list[tuple[np.ndarray, np.ndarray]]] = []
+    for position, client in enumerate(members):
+        batches.append([loaders[client].sample_batch() for _ in range(local_steps)])
+        activities.extend(
+            price_local_round(client, cut, local_steps, pricing, bandwidth_hz)
         )
-    activities = price_local_round(
-        client_id, split.cut_layer, local_steps, pricing, bandwidth_hz
-    )
-    return total_loss / local_steps, activities
+        if position == len(members) - 1:
+            break  # the last member uploads instead (below)
+        # Step 2.3 (sharing): relay to the next client via the AP.
+        nxt = members[position + 1]
+        if lossy:
+            activities.append(
+                Activity(
+                    pricing.client_encode_demand(client, scalars),
+                    "encode",
+                    f"client-{client}",
+                    detail="relay model",
+                )
+            )
+        activities.append(
+            Activity(
+                pricing.relay_model_demand(client, nxt, wire_bytes, bandwidth_hz),
+                "model_relay",
+                f"client-{client}",
+                nbytes=2 * wire_bytes,
+            )
+        )
+        if lossy:
+            activities.append(
+                Activity(
+                    pricing.client_decode_demand(nxt, scalars),
+                    "decode",
+                    f"client-{nxt}",
+                    detail="relay model",
+                )
+            )
+    # Step 3: the last client returns the client half to the AP.
+    activities.extend(price_model_uplink(pricing, members[-1], nbytes, bandwidth_hz))
+    return activities, batches
 
 
 def train_split_group(task: GroupTask, hp: SplitHyperParams) -> GroupResult:
@@ -431,47 +473,6 @@ def train_split_group(task: GroupTask, hp: SplitHyperParams) -> GroupResult:
         loss_sum=loss_sum,
         num_members=len(task.members),
     )
-
-
-class AsyncSplitStateMixin:
-    """Barrier-free server math shared by the split schemes (GSFL, SplitFed).
-
-    Hosts the two global halves' async plumbing: commits mix the update
-    into ``_global_client_state`` / ``_global_server_state`` and keep the
-    scheme's :class:`~repro.nn.split.SplitModel` loaded with the mixed
-    global (the halves share modules with the full evaluation model).
-
-    Under the mid-activity failure model a unit-round whose track
-    surrendered never reaches :meth:`_async_apply_update` — the
-    aggregation server drops the payload before committing and records
-    the loss as an :class:`~repro.sim.server.AbortRecord` instead, so the
-    mixed global only ever contains updates whose uploads genuinely
-    completed.
-    """
-
-    def _async_apply_update(self, payload: object, alpha: float) -> None:
-        # Imported lazily: ``repro.core`` package init imports the GSFL
-        # scheme, which imports this module — a top-level import here
-        # would close that cycle mid-initialization.
-        from repro.core.aggregation import mix_states
-
-        client_state, server_state = payload
-        self._global_client_state = mix_states(
-            self._global_client_state, client_state, alpha
-        )
-        self._global_server_state = mix_states(
-            self._global_server_state, server_state, alpha
-        )
-        # mix_states allocates fresh arrays and the globals are only read
-        # afterwards, so the halves can adopt them without re-copying.
-        self.split.client.load_state_dict(self._global_client_state, copy=False)
-        self.split.server.load_state_dict(self._global_server_state, copy=False)
-
-    def _async_load_eval_model(self) -> None:
-        # Unit training mutates the shared split model in place; reload
-        # the mixed global before every evaluation snapshot.
-        self.split.client.load_state_dict(self._global_client_state, copy=False)
-        self.split.server.load_state_dict(self._global_server_state, copy=False)
 
 
 def run_group_tasks(

@@ -10,11 +10,13 @@ import numpy as np
 import pytest
 
 from repro.core.gsfl import GroupSplitFederatedLearning
+from repro.experiments.dynamics import DynamicsConfig
 from repro.experiments.runner import make_scheme
 from repro.experiments.scenario import fast_scenario
 from repro.metrics.history import TrainingHistory
 from repro.schemes.base import SchemeConfig
 from repro.schemes.splitfed import SplitFedLearning
+from repro.sim.runtime import TransmitDemand
 
 
 @pytest.fixture(scope="module")
@@ -81,14 +83,50 @@ class TestEquivalences:
         h_gsfl = gsfl.run(2)
         np.testing.assert_allclose(h_sl.accuracies, h_gsfl.accuracies, atol=1e-12)
 
-    def test_gsfl_singleton_groups_match_splitfed(self, built_nolatency):
-        """M=N GSFL degenerates to SplitFed (same math, different name)."""
-        n = len(built_nolatency.client_datasets)
-        sf = make_scheme("SplitFed", built_nolatency)
+    def test_gsfl_singleton_groups_match_splitfed(self):
+        """M=N GSFL *is* SplitFed when everybody participates: the same
+        history, latency included, bit for bit.  Each scheme gets a fresh
+        build because consecutive runs on one system consume its shared
+        fading stream."""
+        sf = make_scheme("SplitFed", fast_scenario(with_wireless=True).build())
         h_sf = sf.run(2)
-        gsfl = make_scheme("GSFL", built_nolatency, num_groups=n)
-        h_gsfl = gsfl.run(2)
-        np.testing.assert_allclose(h_sf.accuracies, h_gsfl.accuracies, atol=1e-12)
+        built = fast_scenario(with_wireless=True).build()
+        n = len(built.client_datasets)
+        h_gsfl = make_scheme("GSFL", built, num_groups=n).run(2)
+        for field in ("latencies", "losses", "accuracies"):
+            np.testing.assert_array_equal(
+                getattr(h_sf, field), getattr(h_gsfl, field), err_msg=field
+            )
+        assert h_sf.total_latency_s > 0.0
+
+    def test_splitfed_splits_the_band_among_round_participants(self, monkeypatch):
+        """A sync SplitFed round prices every transmission at ``B / k`` for
+        its ``k`` participants, where GSFL's singleton groups keep ``B / N``."""
+        scenario = fast_scenario(with_wireless=True)
+        scenario.dynamics = DynamicsConfig(participation=0.5, seed=0)
+        built = scenario.build()
+        scheme = make_scheme("SplitFed", built)
+        rounds = []
+        resolve = scheme.aggregation_policy.resolve_round
+
+        def spy(runtime, stages, *args, **kwargs):
+            rounds.append(stages)
+            return resolve(runtime, stages, *args, **kwargs)
+
+        monkeypatch.setattr(scheme.aggregation_policy, "resolve_round", spy)
+        scheme.run(2)
+        total_hz = built.system.allocator.total_bandwidth_hz
+        assert len(rounds) == 2
+        for training, _ in rounds:
+            k = len(training.tracks)
+            assert 0 < k < len(built.client_datasets)
+            shares = {
+                a.demand.nominal_hz
+                for track in training.tracks.values()
+                for a in track
+                if isinstance(a.demand, TransmitDemand)
+            }
+            assert shares == {total_hz / k}
 
     def test_schemes_start_from_identical_weights(self, built):
         a = make_scheme("SL", built)
@@ -203,3 +241,30 @@ class TestGsflConfiguration:
         scheme = make_scheme("GSFL", built, grouping="random")
         flat = sorted(c for g in scheme.groups for c in g)
         assert flat == list(range(len(built.client_datasets)))
+
+
+class TestSplitFedConfiguration:
+    @pytest.mark.parametrize(
+        "kwarg,value",
+        [
+            ("num_groups", 2),
+            ("grouping", "random"),
+            ("groups", [[0]]),
+            ("bandwidth_shares", [1e6]),
+            ("failure_rate", 0.1),
+        ],
+    )
+    def test_gsfl_only_parameters_rejected(self, built_nolatency, kwarg, value):
+        """SplitFed runs on GSFL's engine but keeps its own signature."""
+        with pytest.raises(TypeError):
+            make_scheme("SplitFed", built_nolatency, **{kwarg: value})
+
+
+@pytest.mark.parametrize("name", ["CL", "FL", "SL", "SplitFed", "PSL"])
+def test_non_static_regroup_rejected_without_regroupable_groups(name):
+    from dataclasses import replace
+
+    scenario = fast_scenario(with_wireless=False)
+    scenario.scheme = replace(scenario.scheme, regroup="abort_history")
+    with pytest.raises(ValueError, match="does not support regroup"):
+        make_scheme(name, scenario.build())

@@ -1,4 +1,4 @@
-"""split_local_round engine tests: activity structure and wire semantics."""
+"""split_common engine tests: activity structure and wire semantics."""
 
 from __future__ import annotations
 
@@ -6,10 +6,14 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.data.dataset import ArrayDataset, DataLoader
+from repro.data.dataset import DataLoader
 from repro.nn.split import split_model
 from repro.schemes.pricing import LatencyModel
-from repro.schemes.split_common import split_local_round
+from repro.schemes.split_common import (
+    price_local_round,
+    price_relay_chain,
+    split_step_math,
+)
 
 
 @pytest.fixture
@@ -21,16 +25,22 @@ def setup(small_cnn, small_dataset):
     return split, loader, c_opt, s_opt
 
 
+def _train(split, c_opt, s_opt, loader, local_steps, codec=None):
+    """One client's local round of split steps; returns the mean loss."""
+    total = 0.0
+    for _ in range(local_steps):
+        xb, yb = loader.sample_batch()
+        total += split_step_math(
+            split, c_opt, s_opt, xb, yb, nn.CrossEntropyLoss(), codec
+        )
+    return total / local_steps
+
+
 class TestActivityStructure:
-    def test_activities_per_step(self, setup):
-        split, loader, c_opt, s_opt = setup
-        _, activities = split_local_round(
+    def test_activities_per_step(self):
+        activities = price_local_round(
             client_id=0,
-            split=split,
-            client_opt=c_opt,
-            server_opt=s_opt,
-            loader=loader,
-            loss_fn=nn.CrossEntropyLoss(),
+            cut=2,
             local_steps=3,
             pricing=LatencyModel(None, None, 8),
             bandwidth_hz=1e6,
@@ -46,23 +56,29 @@ class TestActivityStructure:
             "client_compute",
         ]
 
-    def test_zero_priced_without_system(self, setup):
-        split, loader, c_opt, s_opt = setup
-        _, activities = split_local_round(
-            0, split, c_opt, s_opt, loader, nn.CrossEntropyLoss(), 2,
-            LatencyModel(None, None, 8), 1e6,
+    def test_relay_chain_structure(self, small_dataset):
+        """Downlink, each member's local round joined by relays, upload."""
+        loaders = [DataLoader(small_dataset, batch_size=8, seed=s) for s in range(3)]
+        activities, batches = price_relay_chain(
+            LatencyModel(None, None, 8), loaders, [2, 0], 2, 3, 1e6, 1000
         )
+        assert [len(b) for b in batches] == [3, 3]
+        assert [(a.phase, a.actor) for a in activities if a.phase.startswith("model")] == [
+            ("model_distribution", "client-2"),
+            ("model_relay", "client-2"),
+            ("model_upload", "client-0"),
+        ]
+        assert len(activities) == 3 + 2 * 3 * 5
+
+    def test_zero_priced_without_system(self):
+        activities = price_local_round(0, 2, 2, LatencyModel(None, None, 8), 1e6)
         assert all(a.duration_s == 0.0 for a in activities)
 
     def test_loss_decreases_over_rounds(self, setup):
         split, loader, c_opt, s_opt = setup
         losses = []
         for _ in range(8):
-            loss, _ = split_local_round(
-                0, split, c_opt, s_opt, loader, nn.CrossEntropyLoss(), 4,
-                LatencyModel(None, None, 8), 1e6,
-            )
-            losses.append(loss)
+            losses.append(_train(split, c_opt, s_opt, loader, 4))
         assert losses[-1] < losses[0]
 
 
@@ -88,10 +104,7 @@ class TestWireQuantization:
             c_opt = nn.SGD(split.client.parameters(), lr=0.05)
             s_opt = nn.SGD(split.server.parameters(), lr=0.05)
             pricing = LatencyModel(None, None, 8, transport=_intk(bits))
-            split_local_round(
-                0, split, c_opt, s_opt, loader, nn.CrossEntropyLoss(), 2,
-                pricing, 1e6,
-            )
+            _train(split, c_opt, s_opt, loader, 2, pricing.codec)
             return model.state_dict()
 
         full = run(None)
@@ -111,10 +124,6 @@ class TestWireQuantization:
             c_opt = nn.SGD(split.client.parameters(), lr=0.05)
             s_opt = nn.SGD(split.server.parameters(), lr=0.05)
             pricing = LatencyModel(None, None, 8, transport=_intk(bits))
-            loss, _ = split_local_round(
-                0, split, c_opt, s_opt, loader, nn.CrossEntropyLoss(), 2,
-                pricing, 1e6,
-            )
-            return loss
+            return _train(split, c_opt, s_opt, loader, 2, pricing.codec)
 
         assert run(16) == pytest.approx(run(None), rel=0.05)

@@ -236,6 +236,20 @@ class TestCommands:
         assert code == 2
         assert "synchronous aggregation" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scheme", ["CL", "FL", "SL", "SplitFed", "PSL"])
+    def test_regroup_on_a_scheme_without_groups_is_a_clean_config_error(
+        self, scheme, capsys
+    ):
+        code = main(
+            ["run", "--scale", "fast", "--scheme", scheme, "--rounds", "1",
+             "--regroup", "availability_aware"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ")
+        assert "does not support --regroup" in err[0]
+
     def test_unknown_transport_is_a_clean_config_error(self, capsys):
         code = main(
             ["run", "--scale", "fast", "--scheme", "GSFL", "--rounds", "1",
